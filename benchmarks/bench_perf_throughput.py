@@ -269,8 +269,9 @@ def run_engine_once(build, stream, batch: bool, train_size: int,
         batch_execution=batch,
         scheduling_overhead=0.002,
         metrics=metrics,
-        fusion=fusion,
     )
+    if not fusion:
+        engine.defuse()
     start = time.perf_counter()
     engine.push_many("src", stream)
     engine.run_until_idle()
@@ -376,7 +377,6 @@ def run_engine_columnar_once(build, stream, train_size: int,
         net,
         train_size=train_size,
         batch_execution=True,
-        fusion=True,
         scheduling_overhead=0.002,
         metrics=metrics,
     )
@@ -435,8 +435,7 @@ def measure_columnar(build, stream, train_size: int, repeats: int):
                 metrics = MetricsRegistry()
                 if mode == "scalar":
                     once, emitted, clock = run_engine_once(
-                        build, stream, False, train_size, metrics=metrics,
-                        fusion=False)
+                        build, stream, False, train_size, metrics=metrics)
                 else:
                     once, emitted, clock = run_engine_columnar_once(
                         build, stream, train_size, metrics=metrics)
@@ -631,7 +630,6 @@ def measure_window_columnar_xl(n_tuples: int, train_size: int):
         net,
         train_size=train_size,
         batch_execution=True,
-        fusion=True,
         scheduling_overhead=0.002,
     )
     trains = []

@@ -22,7 +22,7 @@ from repro.core.aggregates import (
 from repro.core.builder import BuildError, Cursor, QueryBuilder
 from repro.core.catalog import CatalogError, LocalCatalog
 from repro.core.engine import AuroraEngine
-from repro.core.fusion import FusedChain, build_chains, find_runs
+from repro.core.fusion import FusedChain, FusionOverlay, find_runs
 from repro.core.operators import (
     CaseFilter,
     Filter,
@@ -115,7 +115,7 @@ __all__ = [
     "FIGURE_2_STREAM",
     "Filter",
     "FusedChain",
-    "build_chains",
+    "FusionOverlay",
     "find_runs",
     "Join",
     "LoadShedder",

@@ -21,14 +21,8 @@ from typing import Any, Callable, Iterable, Union
 import numpy as np
 
 from repro.core.catalog import LocalCatalog
-from repro.core.columnar import (
-    ColumnarTrain,
-    OutputBuffer,
-    accumulate_chain,
-    running_max,
-    sequential_sum,
-)
-from repro.core.fusion import FusedChain, find_runs
+from repro.core.columnar import ColumnarTrain, OutputBuffer, running_max
+from repro.core.fusion import Batch, FusedChain, FusionOverlay, find_runs
 from repro.core.qos import QoSMonitor, QoSSpec
 from repro.core.query import Arc, Box, QueryNetwork
 from repro.core.scheduler import RoundRobinScheduler, Scheduler
@@ -55,12 +49,21 @@ class AuroraEngine:
             second (node speed; 1.0 = costs are wall-clock).
         scheduling_overhead: virtual seconds charged per scheduling
             decision (this is what train scheduling amortizes).
-        batch_execution: if True (the default), a train is dequeued,
-            processed (via :meth:`Operator.process_batch`) and emitted
-            as one batch, amortizing the per-tuple interpreter overhead
-            the same way train scheduling amortizes decision overhead.
-            False keeps the per-tuple scalar path (same semantics; the
-            perf benchmark compares the two).
+        batch_execution: the one execution switch.  True (the default)
+            runs every train through the fast runner: a train is claimed,
+            charged and processed as one batch per run of stages — a
+            superbox (:mod:`repro.core.fusion`: with ``push_trains``, a
+            maximal linear run of stateless boxes compiled and threaded
+            through every constituent kernel in a single pass), or a
+            single box.  A train stays columnar while it rides whole
+            :class:`~repro.core.columnar.ColumnarTrain` segments (those
+            admitted via :meth:`push_train`) and materializes only at
+            the barriers of docs/columnar.md; row pushes stay rows.  False
+            selects the per-tuple reference path (``Operator.process``,
+            one tuple at a time, unfused), which the equivalence
+            oracles compare against.  Both modes deliver the same
+            outputs at the same virtual clock (docs/architecture.md
+            names the one latency-granularity difference).
         qos_specs: per-output-stream QoS specifications.
         storage: storage manager (buffer/spill accounting).
         shedder: load shedder; None disables shedding.
@@ -73,28 +76,11 @@ class AuroraEngine:
             to strip even that.
         tracer: trace-span recorder; None (the default) disables
             per-tuple lineage tracing entirely.
-        fusion: if True (the default), superbox compilation
-            (:mod:`repro.core.fusion`) fuses maximal linear runs of
-            stateless single-in/single-out boxes: each run is scheduled
-            as one unit and a train is threaded through every
-            constituent kernel in a single pass, with no interior queue
-            traffic.  Per-constituent statistics, obs counters and trace
-            spans are still emitted exactly as the unfused network would
-            emit them.  Effective only with ``push_trains`` (the fused
-            pass is the compiled form of the train push).
-        columnar: if True (the default), trains admitted via
-            :meth:`push_train` stay in struct-of-arrays form
-            (:class:`~repro.core.columnar.ColumnarTrain`) end to end:
-            whole segments ride the arcs, compiled operators run as
-            masked column kernels, and materialization back to
-            ``StreamTuple`` lists happens only at barriers (stateful or
-            opaque boxes, fan-in, connection points, shedders, tracing,
-            delivery reads).  Accounting stays bit-identical to the
-            list path — clock/latency chains use strictly sequential
-            ``ufunc.accumulate``.  Effective only with
-            ``batch_execution``; a tracer, an attached shedder, or
-            per-tuple ``push`` simply keep those tuples on the classic
-            list path (same results, no columnar speedup).
+
+    Superboxes are an overlay (:attr:`superboxes`): per-constituent
+    statistics, obs counters and trace spans are emitted exactly as the
+    unfused network would emit them, and :meth:`defuse` dissolves them
+    at any scheduling boundary.
     """
 
     def __init__(
@@ -112,8 +98,6 @@ class AuroraEngine:
         batch_execution: bool = True,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        fusion: bool = True,
-        columnar: bool = True,
     ):
         network.validate()
         if train_size < 1:
@@ -153,11 +137,11 @@ class AuroraEngine:
         self.clock = 0.0
         self.steps = 0
         self.tuples_processed = 0
-        self.fusion = fusion
-        # Columnar execution rides the batch path (segments are claimed
-        # as batches); tracing stamps per-tuple spans, so traced engines
-        # materialize at ingestion instead.
-        self.columnar = columnar and batch_execution and not self._tracing
+        # Whether push_train keeps trains columnar (derived, not an
+        # option): segments are claimed by the batch runner only, and
+        # tracing stamps per-tuple spans, so traced engines materialize
+        # at ingestion instead.
+        self.columnar = batch_execution and not self._tracing
         self.outputs: dict[str, Union[list[StreamTuple], OutputBuffer]] = {}
         self.box_order: list[str] = []
         # Public scheduler-facing indexes (see the scheduler module):
@@ -169,8 +153,7 @@ class AuroraEngine:
         self._reach_cache: dict[str, frozenset[str]] = {}
         self._input_reach_cache: dict[str, frozenset[str]] = {}
         self._runs: dict[str, list[str]] = {}
-        self._fused: dict[str, FusedChain] = {}
-        self._fused_member: dict[str, str] = {}
+        self.superboxes = FusionOverlay()
         self.invalidate_caches()
 
     # -- topology caches -----------------------------------------------------
@@ -214,20 +197,12 @@ class AuroraEngine:
             for stale in [box_id for box_id in cache if box_id not in live]:
                 del cache[stale]
         # Superbox compilation (repro.core.fusion).  The run map is kept
-        # even with fusion off: train pushing and flushing visit a run's
-        # members consecutively in both modes, so fused and unfused
-        # execution stay clock-identical tuple for tuple.
-        self._runs = {}
-        self._fused = {}
-        self._fused_member = {}
-        if self.push_trains:
-            for run in find_runs(self.network):
-                self._runs[run[0]] = run
-                if self.fusion:
-                    chain = FusedChain([self.network.boxes[b] for b in run])
-                    self._fused[run[0]] = chain
-                    for member in run:
-                        self._fused_member[member] = run[0]
+        # for the per-tuple reference path too, which runs unfused: train
+        # pushing and flushing visit a run's members consecutively in
+        # both modes, so they stay clock-identical tuple for tuple.
+        runs = find_runs(self.network) if self.push_trains else []
+        self._runs = {run[0]: run for run in runs}
+        self.superboxes.rebuild(self.network, runs if self.batch_execution else [])
         hook = getattr(self.scheduler, "network_changed", None)
         if hook is not None:
             hook(self)
@@ -235,29 +210,15 @@ class AuroraEngine:
     def defuse(self, box_id: str | None = None) -> None:
         """Dissolve superboxes — all of them, or the one containing ``box_id``.
 
-        Safe at any scheduling boundary: fusion never removed the
-        constituent boxes or arcs from the network (it only redirects
-        execution), a fused train always runs through every stage so
-        interior arcs are empty, and any queued tuples already sit on
-        the superbox input — the head box's own input arc.  Dropping
-        the overlay therefore restores per-box execution with no state
-        hand-back, and the run is still *pushed* member-by-member in
-        the fused order, so even the virtual clock is unaffected.
+        The run is still *pushed* member-by-member in the fused order,
+        so even the virtual clock is unaffected (see
+        :meth:`FusionOverlay.defuse`).
         """
-        if box_id is None:
-            self._fused = {}
-            self._fused_member = {}
-            return
-        head = self._fused_member.get(box_id)
-        if head is None:
-            return
-        chain = self._fused.pop(head)
-        for stage in chain.stages:
-            self._fused_member.pop(stage.id, None)
+        self.superboxes.defuse(box_id)
 
     def fused_runs(self) -> list[list[str]]:
         """Box-id runs currently compiled into superboxes."""
-        return [chain.member_ids() for chain in self._fused.values()]
+        return self.superboxes.fused_runs()
 
     def outputs_reachable_from(self, box_id: str) -> frozenset[str]:
         """Output stream names downstream of ``box_id``."""
@@ -352,7 +313,7 @@ class AuroraEngine:
         clocks computed by a running max (bit-identical to ``push()``'s
         ``clock = max(clock, timestamp)`` chain, since max is exact
         selection).  Falls back to :meth:`push_many` whenever a barrier
-        applies at ingestion: columnar mode off, a shedder attached
+        applies at ingestion: the per-tuple reference mode, a shedder attached
         (admission is per-tuple), active tracing (span stamps are
         per-tuple), input fan-out, or a connection point on the arc
         (history recording is per-tuple).
@@ -454,45 +415,52 @@ class AuroraEngine:
 
     def step(self) -> float:
         """One scheduling decision.  Returns virtual seconds consumed (0 if idle)."""
+        consumed = self._step()
+        return 0.0 if consumed is None else consumed
+
+    def _step(self) -> float | None:
+        """One scheduling decision; None when the scheduler chose no box.
+
+        Idleness is the scheduler's verdict, never the time a step took:
+        zero-cost boxes with no scheduling overhead do real work in zero
+        virtual seconds.
+        """
         box_id = self.scheduler.choose(self)
         if box_id is None:
-            return 0.0
+            return None
         self._counter_for(
             self._m_decisions, "engine.scheduler.decisions", "box", box_id
         ).inc()
+        start = self.clock
         self.clock += self.scheduling_overhead
-        consumed = self.scheduling_overhead
-        consumed += self._run_train(box_id)
+        self._run_train(box_id)
         if self.push_trains:
-            consumed += self._push_downstream(box_id)
-        io = self.storage.rebalance(self.network)
-        self.clock += io
-        consumed += io
+            self._push_downstream(box_id)
+        self.clock += self.storage.rebalance(self.network)
         self.steps += 1
         if self.shedder is not None and self.steps % 50 == 0:
             self.shedder.update(self)
-        return consumed
+        return self.clock - start
 
-    def _run_train(self, box_id: str, limit: int | None = None) -> float:
-        """Process up to ``train_size`` tuples at one box (or superbox)."""
+    def _run_train(self, box_id: str, limit: int | None = None) -> None:
+        """Process up to ``train_size`` tuples at one box (or superbox).
+
+        Batch execution runs the box's run of stages (its superbox, or
+        the box alone) through :meth:`_run_chain`; reference mode runs
+        the per-tuple :meth:`_run_train_scalar`.
+        """
         budget = self.train_size if limit is None else limit
-        chain = self._fused.get(box_id)
-        if chain is not None:
-            return self._run_train_fused(chain, budget)
         box = self.network.boxes[box_id]
+        if self.batch_execution:
+            self._run_chain(self.superboxes.run_of(box), budget)
+            return
         in_before = box.tuples_in
         out_before = box.tuples_out
-        if self.batch_execution:
-            consumed = self._run_train_batched(box, budget)
-        else:
-            consumed = self._run_train_scalar(box, budget)
-        # Batch-aware accounting: one update set per train, identical
-        # totals on the scalar and batched paths.
+        self._run_train_scalar(box, budget)
         n = box.tuples_in - in_before
         if n:
             self._drop_queued(box_id, n)
             self._train_obs(box_id, n, box.tuples_out - out_before)
-        return consumed
 
     def _train_obs(self, box_id: str, n: int, emitted: int) -> None:
         """The per-train obs update set for one (logical) box."""
@@ -507,23 +475,19 @@ class AuroraEngine:
         self._m_tuples.inc(n)
         self._m_train_hist.observe(n)
 
-    def _run_train_scalar(self, box: Box, budget: int) -> float:
+    def _run_train_scalar(self, box: Box, budget: int) -> None:
         """The per-tuple reference path: one full engine round per tuple."""
-        consumed = 0.0
         tracing = self._tracing
         while budget > 0:
             arc = self._oldest_input_arc(box)
             if arc is None:
                 break
             port = int(arc.target[1])
-            read_cost = self.storage.charge_consume(arc)
-            self.clock += read_cost
-            consumed += read_cost
+            self.clock += self.storage.charge_consume(arc)
             tup = arc.queue.popleft()
             enqueued_at = arc.queue_times.popleft() if arc.queue_times else self.clock
             cost = box.operator.cost_per_tuple / self.cpu_capacity
             self.clock += cost
-            consumed += cost
             box.busy_time += cost
             box.tuples_in += 1
             self.tuples_processed += 1
@@ -540,120 +504,152 @@ class AuroraEngine:
             box.latency_sum += self.clock - enqueued_at
             box.latency_count += 1
             budget -= 1
-        return consumed
 
-    def _run_train_batched(self, box: Box, budget: int) -> float:
-        """Process a train as first-class batches.
+    def _oldest_input_arc(self, box: Box) -> Arc | None:
+        """The input arc whose head tuple was enqueued earliest."""
+        best: Arc | None = None
+        best_time = float("inf")
+        for arc in box.input_arcs.values():
+            if not arc.queue:
+                continue
+            head_time = arc.queue_times[0] if arc.queue_times else 0.0
+            if head_time < best_time:
+                best, best_time = arc, head_time
+        return best
 
-        Each iteration claims a maximal run of tuples that the scalar
-        path would have consumed from the same arc (so consumption order
-        across input arcs is preserved exactly), dequeues it in one
-        slice, charges storage and cost/latency in one accounting pass
-        (clock and latency chains stay bit-identical to the scalar
-        path's incremental sums), runs ``process_batch`` once and emits
-        whole per-arc lists.  The one granularity change: a train's
+    def _run_chain(self, chain: FusedChain, budget: int) -> None:
+        """One train through a run of stages — a superbox, or one box.
+
+        1. Claim at the head with the shared :func:`claim_run` rule,
+           looping claims for fan-in boxes (so consumption order across
+           input arcs is exactly the per-tuple path's); a queue holding
+           only columnar segments is claimed as one segment train.
+        2. Charge each stage once per claim (``account``): the Python
+           float chain for a row train, sequential ``add.accumulate``
+           chains for a columnar one — the same float operations in the
+           same order, so both are bit-identical to the per-tuple path.
+        3-4. :meth:`FusedChain.run` threads the claim through the stage
+           kernels and runs the tail's ``process_columnar`` or
+           ``process_batch`` on the claimed port.
+        5. Emit the tail's output as whole batches; after the last
+           claim, one obs update per box for the whole train.
+
+        Interior arcs of a superbox see no traffic at all, while the
+        clock, per-stage statistics and trace spans advance exactly as
+        the unfused member-by-member train push would advance them.
+        The one granularity change from the per-tuple path: a train's
         emissions are enqueued downstream with the train-end clock
         rather than per-tuple intermediate clocks (see
         docs/architecture.md).
         """
-        consumed = 0.0
-        operator = box.operator
-        cost = operator.cost_per_tuple / self.cpu_capacity
-        clock = self.clock
-        while budget > 0:
-            seg_arc = self._normalize_segments(box)
-            if seg_arc is not None:
+        stages = chain.stages
+        head = stages[0]
+        tail = stages[-1]
+        tail_out = tail.tuples_out
+        counts = [0] * len(stages)
+        tracing = self._tracing
+        capacity = self.cpu_capacity
+        per_read = self.storage.read_cost
+        # Per-claim state read by account(): a columnar claim's enqueue
+        # clocks, or a row claim's enqueue clocks and first spilled read.
+        clocks: np.ndarray | None = None
+        times: list[float] = []
+        first_read = 0
+
+        def account(index: int, box: Box, batch: Batch) -> None:
+            n = len(batch)
+            counts[index] += n
+            cost = box.operator.cost_per_tuple / capacity
+            # Stage 0 measures latency from each tuple's enqueue clock;
+            # interior stages are logically enqueued at the previous
+            # stage's train-end clock (the stamp emission writes).
+            clock = self.clock
+            if clocks is not None:
+                running = np.empty(n + 1, dtype=np.float64)
+                running[0] = clock
+                running[1:] = cost
+                np.add.accumulate(running, out=running)
+                running = running[1:]
+                deltas = running - (clocks if index == 0 else clock)
+                np.add.accumulate(deltas, out=deltas)
+                box.latency_sum += float(deltas[-1])
+                self.clock = float(running[-1])
+            else:
+                stage_times, reads = (times, first_read) if index == 0 else ([clock] * n, n)
+                latency = 0.0
+                if reads >= n and len(stage_times) == n and not tracing:
+                    # Common case: no spilled reads, clocks in lockstep.
+                    for enqueued_at in stage_times:
+                        clock += cost
+                        latency += clock - enqueued_at
+                else:
+                    timed = len(stage_times)
+                    for i in range(n):
+                        if i >= reads:
+                            clock += per_read
+                        enqueued_at = stage_times[i] if i < timed else clock
+                        clock += cost
+                        latency += clock - enqueued_at
+                        if tracing:
+                            tup = batch[i]
+                            if tup.trace is not None:
+                                # Same span, same clocks, as the
+                                # per-tuple path records for this tuple.
+                                tup.trace = self.tracer.span(
+                                    tup.trace, f"box:{box.id}",
+                                    start=clock - cost, end=clock,
+                                )
+                box.latency_sum += latency
                 self.clock = clock
-                took, extra = self._consume_columnar(box, seg_arc, budget)
-                clock = self.clock
-                consumed += extra
-                budget -= took
-                continue
-            arc, n = self._claim_run(box, budget)
-            if arc is None:
-                break
-            # Charge storage against the pre-pop queue length: the
-            # scalar path tests ``len(queue) <= spilled`` before each
-            # popleft, so the batch charge must see the same lengths.
-            read_cost, first_read = self.storage.charge_consume_batch(arc, n)
-            queue = arc.queue
-            if n == len(queue):
-                batch = list(queue)
-                queue.clear()
-            else:
-                popleft = queue.popleft
-                batch = [popleft() for _ in range(n)]
-            queue_times = arc.queue_times
-            timed = min(n, len(queue_times))
-            if timed == len(queue_times):
-                times = list(queue_times)
-                queue_times.clear()
-            else:
-                pop_time = queue_times.popleft
-                times = [pop_time() for _ in range(timed)]
-            latency = 0.0
-            tracing = self._tracing
-            if first_read >= n and timed == n and not tracing:
-                # Common case: no spilled reads, timestamps in lockstep.
-                for enqueued_at in times:
-                    clock += cost
-                    consumed += cost
-                    latency += clock - enqueued_at
-            else:
-                per_read = self.storage.read_cost
-                for i in range(n):
-                    if i >= first_read:
-                        clock += per_read
-                        consumed += per_read
-                    enqueued_at = times[i] if i < timed else clock
-                    clock += cost
-                    consumed += cost
-                    latency += clock - enqueued_at
-                    if tracing:
-                        tup = batch[i]
-                        if tup.trace is not None:
-                            # Same span, same clocks, as the scalar path
-                            # records for this tuple; re-stamped before
-                            # process_batch() so emissions inherit it.
-                            tup.trace = self.tracer.span(
-                                tup.trace, f"box:{box.id}",
-                                start=clock - cost, end=clock,
-                            )
-            self.clock = clock
             box.busy_time += n * cost
-            box.tuples_in += n
-            box.latency_sum += latency
             box.latency_count += n
             self.tuples_processed += n
-            emissions = operator.process_batch(batch, port=int(arc.target[1]))
-            box.tuples_out += len(emissions)
-            self._emit_batch(box, emissions)
+
+        while budget > 0:
+            arc = self._segment_arc(head, budget)
+            if arc is not None:
+                n = min(budget, arc.queued_tuples())
+                batch, clocks = self._dequeue_segments(arc, n)
+            else:
+                arc, n = claim_run(head, budget, _enqueue_keys)
+                if arc is None:
+                    break
+                # Charge storage against the pre-pop queue length: the
+                # per-tuple path tests ``len(queue) <= spilled`` before
+                # each popleft, so the batch charge must see the same
+                # lengths.
+                _io, first_read = self.storage.charge_consume_batch(arc, n)
+                batch = popleft_n(arc.queue, n)
+                times = popleft_n(arc.queue_times, n)
+                clocks = None
+            emissions, columnar = chain.run(batch, int(arc.target[1]), account)
+            if columnar:
+                self._emit_columnar(tail, emissions)
+            else:
+                self._emit_batch(tail, emissions)
             budget -= n
-        self.clock = clock
-        return consumed
+        if counts[0]:
+            self._drop_queued(head.id, counts[0])
+        last = len(stages) - 1
+        for index, box in enumerate(stages):
+            n = counts[index]
+            if not n:
+                break
+            # A stage's output is exactly the next stage's input.
+            out = counts[index + 1] if index < last else tail.tuples_out - tail_out
+            self._train_obs(box.id, n, out)
 
-    def _claim_run(self, box: Box, budget: int) -> tuple[Arc | None, int]:
-        """The arc the scalar path would consume from next, and how many
-        consecutive head tuples it would take from it before switching
-        arcs (capped by ``budget``).
+    def _segment_arc(self, box: Box, budget: int) -> Arc | None:
+        """The arc to claim ``box``'s next train from as columnar segments.
 
-        Replicates :meth:`_oldest_input_arc`'s selection rule: the first
-        arc (in port order) whose head enqueue time is strictly smaller
-        than any earlier arc's and no larger than any later arc's.
-        Delegates to the backend-agnostic :func:`claim_run`, keyed on
-        enqueue clocks.
-        """
-        return claim_run(box, budget, _enqueue_keys)
-
-    def _normalize_segments(self, box: Box) -> Arc | None:
-        """Prepare ``box``'s arcs for a claim; the columnar arc, if any.
-
-        Returns the single input arc when it holds only columnar
-        segments (the columnar claim path applies).  At barriers —
-        fan-in (multi-arc claims interleave per-tuple) or a queue mixing
-        plain tuples with segments — segments are expanded in place and
-        None is returned, so the classic claim proceeds with identical
-        per-tuple enqueue clocks and train boundaries.
+        Only a single-input box whose queue holds nothing but segments
+        qualifies.  At barriers — fan-in (multi-arc claims interleave
+        per tuple), a queue mixing plain tuples with segments, or
+        spilled tuples inside the claim (spilled reads interleave
+        per-tuple charges into the clock chain) — the segments are
+        expanded in place and None is returned, so the row claim
+        proceeds with identical per-tuple enqueue clocks and train
+        boundaries.
         """
         input_arcs = box.input_arcs
         if len(input_arcs) == 1:
@@ -661,7 +657,10 @@ class AuroraEngine:
             if not arc._segments:
                 return None
             if arc._segments == len(arc.queue):
-                return arc
+                queued = arc.queued_tuples()
+                spilled = self.storage.spilled_on(arc)
+                if not spilled or queued - spilled >= min(budget, queued):
+                    return arc
             arc.materialize_segments()
             return None
         for arc in input_arcs.values():
@@ -703,460 +702,60 @@ class AuroraEngine:
         times = np.concatenate([p.enqueue_clocks for p in parts])
         return train, times
 
-    def _consume_columnar(
-        self, box: Box, arc: Arc, budget: int
-    ) -> tuple[int, float]:
-        """One columnar claim at a (non-fused) box.
-
-        The accounting twin of one ``_run_train_batched`` iteration:
-        identical claim size, and clock/latency/consumed advanced by
-        strictly sequential ``add.accumulate`` chains — the same float
-        operations in the same order as the per-tuple Python loop.
-        Returns ``(tuples_taken, virtual_time_consumed)``; taking zero
-        means a spill barrier materialized the arc and the caller should
-        re-claim on the list path.
-        """
-        n = min(budget, arc.queued_tuples())
-        spilled = self.storage.spilled_on(arc)
-        if spilled and arc.queued_tuples() - spilled < n:
-            # Spilled reads interleave per-tuple charges into the clock
-            # chain; that exactness lives on the list path.
-            arc.materialize_segments()
-            return 0, 0.0
-        train, times = self._dequeue_segments(arc, n)
-        operator = box.operator
-        cost = operator.cost_per_tuple / self.cpu_capacity
-        # Inlined accumulate_chain/sequential_sum — bit-identical to the
-        # list path's per-tuple ``clock += cost; latency += delta`` loop.
-        chain = np.empty(n + 1, dtype=np.float64)
-        chain[0] = self.clock
-        chain[1:] = cost
-        np.add.accumulate(chain, out=chain)
-        chain = chain[1:]
-        deltas = chain - times
-        np.add.accumulate(deltas, out=deltas)
-        latency = float(deltas[-1])
-        self.clock = float(chain[-1])
-        # The scheduler only needs a positive work signal, not the exact
-        # float chain (no contract compares step() returns across paths).
-        consumed = n * cost
-        box.busy_time += n * cost
-        box.tuples_in += n
-        box.latency_sum += latency
-        box.latency_count += n
-        self.tuples_processed += n
-        port = int(arc.target[1])
-        if operator.supports_columnar:
-            train_emissions = operator.process_columnar(train, port=port)
-            out_count = 0
-            for _p, out_train in train_emissions:
-                out_count += len(out_train)
-            box.tuples_out += out_count
-            self._emit_columnar(box, train_emissions)
-        else:
-            # Operator barrier (stateful or opaque): materialize at the
-            # claim and run the exact-equivalent list batch kernel.
-            emissions = operator.process_batch(train.to_tuples(), port=port)
-            box.tuples_out += len(emissions)
-            self._emit_batch(box, emissions)
-        return n, consumed
-
-    def _oldest_input_arc(self, box: Box) -> Arc | None:
-        """The input arc whose head tuple was enqueued earliest."""
-        best: Arc | None = None
-        best_time = float("inf")
-        for arc in box.input_arcs.values():
-            if not arc.queue:
-                continue
-            head_time = arc.queue_times[0] if arc.queue_times else 0.0
-            if head_time < best_time:
-                best, best_time = arc, head_time
-        return best
-
-    def _run_train_fused(self, chain: FusedChain, budget: int) -> float:
-        """One train through a superbox: claimed once at the head,
-        threaded through every stage, emitted from the tail.
-
-        Interior arcs see no traffic at all — no deque pushes, no
-        ``queue_times`` stamping, no claim bookkeeping, no storage
-        charges (interior arcs are empty by construction, and
-        unspilled-arc charges are no-ops) — while the virtual clock,
-        per-stage statistics, obs counters and trace spans advance in
-        exactly the sums and order the unfused member-by-member train
-        push produces.
-        """
-        head = chain.head
-        arc = self._oldest_input_arc(head)
-        if arc is None or budget <= 0:
-            return 0.0
-        if self.batch_execution:
-            if arc._segments:
-                if arc._segments == len(arc.queue):
-                    n = min(budget, arc.queued_tuples())
-                    spilled = self.storage.spilled_on(arc)
-                    if not spilled or arc.queued_tuples() - spilled >= n:
-                        return self._run_train_fused_columnar(chain, arc, budget)
-                # Mixed queue or spill barrier: expand and take the
-                # list path (identical clocks and train boundaries).
-                arc.materialize_segments()
-            return self._run_train_fused_batched(chain, arc, budget)
-        return self._run_train_fused_scalar(chain, arc, budget)
-
-    def _run_train_fused_columnar(
-        self, chain: FusedChain, arc: Arc, budget: int
-    ) -> float:
-        """One columnar train through a superbox: claimed once, threaded
-        through the compiled column kernels, emitted from the tail.
-
-        Per-stage accounting follows ``_run_train_fused_batched`` with
-        the per-tuple Python loops replaced by sequential
-        ``add.accumulate`` chains (bit-identical clock/latency floats).
-        A stage without a columnar kernel materializes the train once
-        and the remaining stages run their list kernels — transparent
-        per-stage fallback.
-        """
-        consumed = 0.0
-        clock = self.clock
-        stages = chain.stages
-        columnar_kernels = chain.columnar_kernels
-        list_kernels = chain.interior_kernels
-        head = stages[0]
-        last = len(stages) - 1
-        n = min(budget, arc.queued_tuples())
-        train, times = self._dequeue_segments(arc, n)
-        self._drop_queued(head.id, n)
-        batch: ColumnarTrain | list[StreamTuple] = train
-        columnar = True
-        processed = 0
-        stage_start = clock
-        # Hot loop: numpy entry points and engine attributes hoisted to
-        # locals (each stage is a handful of array ops; attribute lookup
-        # is a measurable fraction at small train sizes).
-        empty = np.empty
-        acc = np.add.accumulate
-        capacity = self.cpu_capacity
-        box_in = self._m_box_in
-        box_out = self._m_box_out
-        m_emitted = self._m_emitted
-        m_tuples = self._m_tuples
-        hist_observe = self._m_train_hist.observe
-        new_counter = self.metrics.counter
-        for index, box in enumerate(stages):
-            count = len(batch)
-            if count == 0:
-                break
-            cost = box.operator.cost_per_tuple / capacity
-            # Inlined accumulate_chain/sequential_sum (this loop is the
-            # hottest accounting path): the strictly sequential
-            # ``add.accumulate`` chains stay bit-identical to the
-            # per-tuple ``clock += cost`` / ``latency += delta`` loops.
-            chain_arr = empty(count + 1, dtype=np.float64)
-            chain_arr[0] = clock
-            chain_arr[1:] = cost
-            acc(chain_arr, out=chain_arr)
-            chain_arr = chain_arr[1:]
-            if index == 0:
-                deltas = chain_arr - times
-            else:
-                # Interior stages: logically enqueued at the previous
-                # stage's train-end clock (the _emit_batch stamp).
-                deltas = chain_arr - stage_start
-            acc(deltas, out=deltas)
-            latency = float(deltas[-1])
-            clock = float(chain_arr[-1])
-            # step() returns only feed the idle check; the exact float
-            # chain is not part of the accounting contract.
-            consumed += count * cost
-            box.busy_time += count * cost
-            box.tuples_in += count
-            box.latency_sum += latency
-            box.latency_count += count
-            processed += count
-            if index == last:
-                self.clock = clock
-                if columnar and chain.tail_columnar:
-                    train_emissions = box.operator.process_columnar(batch, port=0)
-                    out_count = 0
-                    for _p, out_train in train_emissions:
-                        out_count += len(out_train)
-                    box.tuples_out += out_count
-                    self._emit_columnar(box, train_emissions)
-                else:
-                    if columnar:
-                        batch = batch.to_tuples()
-                    emissions = box.operator.process_batch(batch, port=0)
-                    out_count = len(emissions)
-                    box.tuples_out += out_count
-                    self._emit_batch(box, emissions)
-            else:
-                if columnar:
-                    kernel = columnar_kernels[index]
-                    if kernel is not None:
-                        out_batch: ColumnarTrain | list[StreamTuple] = kernel(batch)
-                    else:
-                        out_batch = list_kernels[index](batch.to_tuples())
-                        columnar = False
-                else:
-                    out_batch = list_kernels[index](batch)
-                out_count = len(out_batch)
-                box.tuples_out += out_count
-                batch = out_batch
-                stage_start = clock
-            # _train_obs inlined with hoisted handles (same update set,
-            # same counters — only the dispatch overhead is gone).
-            box_id = box.id
-            in_c = box_in.get(box_id)
-            if in_c is None:
-                in_c = box_in[box_id] = new_counter(
-                    "engine.box.tuples_in", box=box_id
-                )
-            in_c.inc(count)
-            if out_count:
-                out_c = box_out.get(box_id)
-                if out_c is None:
-                    out_c = box_out[box_id] = new_counter(
-                        "engine.box.tuples_out", box=box_id
-                    )
-                out_c.inc(out_count)
-                m_emitted.inc(out_count)
-            m_tuples.inc(count)
-            hist_observe(count)
-        self.tuples_processed += processed
-        self.clock = clock
-        return consumed
-
-    def _run_train_fused_batched(
-        self, chain: FusedChain, arc: Arc, budget: int
-    ) -> float:
-        consumed = 0.0
-        clock = self.clock
-        tracing = self._tracing
-        stages = chain.stages
-        kernels = chain.interior_kernels
-        head = stages[0]
-        last = len(stages) - 1
-        n = min(budget, len(arc.queue))
-        # Same claim/charge protocol as _run_train_batched's first (and,
-        # for a single-arc box, only) iteration.
-        _read_cost, first_read = self.storage.charge_consume_batch(arc, n)
-        queue = arc.queue
-        if n == len(queue):
-            batch = list(queue)
-            queue.clear()
-        else:
-            popleft = queue.popleft
-            batch = [popleft() for _ in range(n)]
-        queue_times = arc.queue_times
-        timed = min(n, len(queue_times))
-        if timed == len(queue_times):
-            times = list(queue_times)
-            queue_times.clear()
-        else:
-            pop_time = queue_times.popleft
-            times = [pop_time() for _ in range(timed)]
-        self._drop_queued(head.id, n)
-        per_read = self.storage.read_cost
-        stage_start = clock
-        for index, box in enumerate(stages):
-            count = len(batch)
-            if count == 0:
-                break
-            cost = box.operator.cost_per_tuple / self.cpu_capacity
-            latency = 0.0
-            if index == 0:
-                if first_read >= count and timed == count and not tracing:
-                    for enqueued_at in times:
-                        clock += cost
-                        consumed += cost
-                        latency += clock - enqueued_at
-                else:
-                    for i in range(count):
-                        if i >= first_read:
-                            clock += per_read
-                            consumed += per_read
-                        enqueued_at = times[i] if i < timed else clock
-                        clock += cost
-                        consumed += cost
-                        latency += clock - enqueued_at
-                        if tracing:
-                            tup = batch[i]
-                            if tup.trace is not None:
-                                tup.trace = self.tracer.span(
-                                    tup.trace, f"box:{box.id}",
-                                    start=clock - cost, end=clock,
-                                )
-            elif not tracing:
-                # Interior stages: every tuple was (logically) enqueued
-                # at the previous stage's train-end clock — the stamp
-                # _emit_batch would have written.
-                enqueued_at = stage_start
-                for _ in range(count):
-                    clock += cost
-                    consumed += cost
-                    latency += clock - enqueued_at
-            else:
-                enqueued_at = stage_start
-                for i in range(count):
-                    clock += cost
-                    consumed += cost
-                    latency += clock - enqueued_at
-                    tup = batch[i]
-                    if tup.trace is not None:
-                        tup.trace = self.tracer.span(
-                            tup.trace, f"box:{box.id}",
-                            start=clock - cost, end=clock,
-                        )
-            box.busy_time += count * cost
-            box.tuples_in += count
-            box.latency_sum += latency
-            box.latency_count += count
-            self.tuples_processed += count
-            if index == last:
-                self.clock = clock
-                emissions = box.operator.process_batch(batch, port=0)
-                out_count = len(emissions)
-                box.tuples_out += out_count
-                self._emit_batch(box, emissions)
-            else:
-                out = kernels[index](batch)
-                out_count = len(out)
-                box.tuples_out += out_count
-                batch = out
-                stage_start = clock
-            self._train_obs(box.id, count, out_count)
-        self.clock = clock
-        return consumed
-
-    def _run_train_fused_scalar(
-        self, chain: FusedChain, arc: Arc, budget: int
-    ) -> float:
-        consumed = 0.0
-        tracing = self._tracing
-        stages = chain.stages
-        last = len(stages) - 1
-        head = stages[0]
-        operator = head.operator
-        cost = operator.cost_per_tuple / self.cpu_capacity
-        # Stage 0 claims from the head's real input arc, exactly like
-        # _run_train_scalar; later stages carry (tuple, emit-clock)
-        # pairs instead of touching the interior arcs.
-        pending: list[tuple[StreamTuple, float]] = []
-        taken = 0
-        emitted_count = 0
-        while budget > 0 and arc.queue:
-            read_cost = self.storage.charge_consume(arc)
-            self.clock += read_cost
-            consumed += read_cost
-            tup = arc.queue.popleft()
-            enqueued_at = (
-                arc.queue_times.popleft() if arc.queue_times else self.clock
-            )
-            self.clock += cost
-            consumed += cost
-            head.busy_time += cost
-            head.tuples_in += 1
-            self.tuples_processed += 1
-            if tracing and tup.trace is not None:
-                tup.trace = self.tracer.span(
-                    tup.trace, f"box:{head.id}",
-                    start=self.clock - cost, end=self.clock,
-                )
-            emitted = operator.process(tup, port=0)
-            for _out_port, out_tup in emitted:
-                head.tuples_out += 1
-                pending.append((out_tup, self.clock))
-            head.latency_sum += self.clock - enqueued_at
-            head.latency_count += 1
-            budget -= 1
-            taken += 1
-            emitted_count += len(emitted)
-        if taken == 0:
-            return consumed
-        self._drop_queued(head.id, taken)
-        self._train_obs(head.id, taken, emitted_count)
-        for index in range(1, last + 1):
-            if not pending:
-                break
-            box = stages[index]
-            operator = box.operator
-            cost = operator.cost_per_tuple / self.cpu_capacity
-            current = pending
-            pending = []
-            emitted_count = 0
-            for tup, enqueued_at in current:
-                self.clock += cost
-                consumed += cost
-                box.busy_time += cost
-                box.tuples_in += 1
-                self.tuples_processed += 1
-                if tracing and tup.trace is not None:
-                    tup.trace = self.tracer.span(
-                        tup.trace, f"box:{box.id}",
-                        start=self.clock - cost, end=self.clock,
-                    )
-                emitted = operator.process(tup, port=0)
-                if index == last:
-                    for out_port, out_tup in emitted:
-                        box.tuples_out += 1
-                        self._emit(box, out_port, out_tup)
-                else:
-                    for _out_port, out_tup in emitted:
-                        box.tuples_out += 1
-                        pending.append((out_tup, self.clock))
-                box.latency_sum += self.clock - enqueued_at
-                box.latency_count += 1
-                emitted_count += len(emitted)
-            self._train_obs(box.id, len(current), emitted_count)
-        return consumed
-
-    def _advance_run(self, box_id: str) -> tuple[str, float]:
+    def _advance_run(self, box_id: str) -> str:
         """After running ``box_id``, bring the rest of its run current.
 
-        Returns (frontier expansion point, virtual time consumed).  A
-        fused chain already ran in one pass; an unfused (or defused) run
-        processes each member consecutively — the same schedule the
-        fused pass uses, which keeps the two modes clock-identical even
-        in fan-out topologies where the push frontier holds siblings.
+        Returns the frontier expansion point.  A fused chain already ran
+        in one pass; an unfused (or defused) run processes each member
+        consecutively — the same schedule the fused pass uses, which
+        keeps the two clock-identical even in fan-out topologies where
+        the push frontier holds siblings.
         """
         run = self._runs.get(box_id)
         if run is None:
-            return box_id, 0.0
-        consumed = 0.0
-        if box_id not in self._fused:
+            return box_id
+        if box_id not in self.superboxes.chains:
             boxes = self.network.boxes
             for member in run[1:]:
                 if boxes[member].queued():
-                    consumed += self._run_train(member)
-        return run[-1], consumed
+                    self._run_train(member)
+        return run[-1]
 
-    def _push_downstream(self, box_id: str) -> float:
+    def _push_downstream(self, box_id: str) -> None:
         """Push a train's outputs through downstream boxes (train scheduling)."""
-        start, consumed = self._advance_run(box_id)
-        frontier = deque(dict.fromkeys(self.network.downstream_boxes(start)))
+        frontier = deque(
+            dict.fromkeys(self.network.downstream_boxes(self._advance_run(box_id)))
+        )
         seen = set(frontier)
         while frontier:
             current = frontier.popleft()
             box = self.network.boxes[current]
             if box.queued() == 0:
                 continue
-            consumed += self._run_train(current)
-            expand, extra = self._advance_run(current)
-            consumed += extra
-            for succ in self.network.downstream_boxes(expand):
+            self._run_train(current)
+            for succ in self.network.downstream_boxes(self._advance_run(current)):
                 if succ not in seen:
                     seen.add(succ)
                     frontier.append(succ)
-        return consumed
+
+    def _push_one(self, arc: Arc, tup: StreamTuple) -> None:
+        """Hand one tuple to one arc: enqueue it, or deliver it.
+
+        The per-tuple route, and the fallback of the batch routes on
+        connection-point arcs — history recording, subscribers and
+        choking are per-tuple affairs.
+        """
+        kind, ref = arc.target
+        if kind == "out":
+            if arc.push(tup):
+                arc.queue.popleft()
+                self._deliver(str(ref), tup)
+        else:
+            self._enqueue(arc, tup)
 
     def _emit(self, box: Box, out_port: int, tup: StreamTuple) -> None:
         for arc in box.output_arcs.get(out_port, []):
-            kind, ref = arc.target
-            if kind == "out":
-                if arc.push(tup):
-                    arc.queue.popleft()
-                    self._deliver(str(ref), tup)
-            else:
-                self._enqueue(arc, tup)
+            self._push_one(arc, tup)
 
     def _emit_batch(self, box: Box, emissions: list[tuple[int, StreamTuple]]) -> None:
         """Route a whole train's emissions, appending per-arc lists.
@@ -1164,8 +763,7 @@ class AuroraEngine:
         Per-port emission order is preserved (each arc is fed from a
         single source port, so per-arc queue order matches the scalar
         path).  Arcs with connection points fall back to per-tuple
-        pushes — history recording, subscribers and choking are
-        per-tuple affairs.
+        :meth:`_push_one`.
         """
         if not emissions:
             return
@@ -1182,12 +780,7 @@ class AuroraEngine:
                 kind, ref = arc.target
                 if arc.connection_point is not None:
                     for tup in tuples:
-                        if kind == "out":
-                            if arc.push(tup):
-                                arc.queue.popleft()
-                                self._deliver(str(ref), tup)
-                        else:
-                            self._enqueue(arc, tup)
+                        self._push_one(arc, tup)
                 elif kind == "out":
                     arc.tuples_transferred += len(tuples)
                     self._deliver_batch(str(ref), tuples)
@@ -1208,8 +801,8 @@ class AuroraEngine:
         The columnar twin of :meth:`_emit_batch`: each non-empty
         sub-train is appended to its arcs as ONE queue entry stamped
         with the train-end clock.  Connection-point arcs materialize
-        here (history recording, subscribers and choking are per-tuple
-        affairs); delivery to applications stays columnar and lazy.
+        here and take :meth:`_push_one`; delivery to applications stays
+        columnar and lazy.
         """
         clock = self.clock
         output_arcs = box.output_arcs
@@ -1221,12 +814,7 @@ class AuroraEngine:
                 kind, ref = arc.target
                 if arc.connection_point is not None:
                     for tup in train.to_tuples():
-                        if kind == "out":
-                            if arc.push(tup):
-                                arc.queue.popleft()
-                                self._deliver(str(ref), tup)
-                        else:
-                            self._enqueue(arc, tup)
+                        self._push_one(arc, tup)
                 elif kind == "out":
                     arc.tuples_transferred += n
                     self._deliver_train(str(ref), train)
@@ -1317,14 +905,19 @@ class AuroraEngine:
         return drained
 
     def run_until_idle(self, max_steps: int = 1_000_000) -> float:
-        """Step until no box has queued input.  Returns time consumed."""
-        consumed = 0.0
+        """Step until the scheduler finds no runnable box.  Returns time consumed."""
+        start = self.clock
         for _ in range(max_steps):
-            delta = self.step()
-            if delta == 0.0:
-                return consumed
-            consumed += delta
+            if self._step() is None:
+                return self.clock - start
         raise RuntimeError(f"engine did not go idle within {max_steps} steps")
+
+    def advance_to(self, when: float) -> None:
+        """Step until the clock reaches ``when``; an idle engine jumps there."""
+        while self.clock < when:
+            if self._step() is None:
+                self.clock = when
+                return
 
     def flush(self) -> None:
         """End-of-stream: flush windowed boxes in topological order.
@@ -1417,6 +1010,16 @@ class AuroraEngine:
 def _enqueue_keys(arc: Arc):
     """The engine's order keys: per-entry enqueue clocks."""
     return arc.queue_times
+
+
+def popleft_n(queue: deque, n: int) -> list:
+    """Dequeue the first ``n`` entries of ``queue`` (all, if fewer) as a list."""
+    if n >= len(queue):
+        items = list(queue)
+        queue.clear()
+        return items
+    popleft = queue.popleft
+    return [popleft() for _ in range(n)]
 
 
 class timestamp_keys:

@@ -47,10 +47,10 @@ already sitting at the superbox input (the head's input arc).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.core.columnar import ColumnarTrain
-from repro.core.operators.base import Emission, Operator
+from repro.core.operators.base import Operator
 from repro.core.operators.filter import Filter
 from repro.core.operators.map import Map
 from repro.core.query import Arc, Box, QueryNetwork
@@ -58,6 +58,8 @@ from repro.core.tuples import StreamTuple
 
 Kernel = Callable[[list[StreamTuple]], list[StreamTuple]]
 ColumnarKernel = Callable[[ColumnarTrain], ColumnarTrain]
+Batch = Union[ColumnarTrain, list[StreamTuple]]
+Account = Callable[[int, Box, Batch], None]
 
 
 def chainable(box: Box) -> bool:
@@ -143,38 +145,32 @@ def _interior_columnar_kernel(operator: Operator) -> Optional[ColumnarKernel]:
     return generic_kernel
 
 
-class FusedChain(Operator):
-    """One superbox: a linear run of boxes compiled into a single unit.
+class FusedChain:
+    """A run of boxes executed as one unit: a superbox, or one box alone.
 
     Holds the original :class:`~repro.core.query.Box` objects (the
     *stages*) — never copies of them — so all statistics accumulated
     while fused are attributed to the constituents, and defusion needs
-    no state hand-back.  ``cost_per_tuple`` is the summed chain cost
-    (the superbox's cost model); the scheduler-facing backlog signal
-    stays the head's, since only the head's arc ever holds tuples.
+    no state hand-back.  An unfused box is a run of length one, so the
+    engine and the Aurora* node thread every train through :meth:`run`.
+    ``cost_per_tuple`` is the summed chain cost (the superbox's cost
+    model); the scheduler-facing backlog signal stays the head's, since
+    only the head's arc ever holds tuples.
     """
-
-    fusable = False
 
     def __init__(self, boxes: list[Box]):
         stages = list(boxes)
-        if len(stages) < 2:
-            raise ValueError("a fused chain needs at least two stages")
-        super().__init__(
-            cost_per_tuple=sum(b.operator.cost_per_tuple for b in stages)
-        )
         self.stages = stages
-        self.n_outputs = stages[-1].operator.n_outputs
+        self.cost_per_tuple = sum(b.operator.cost_per_tuple for b in stages)
         self.interior_kernels = [
             _interior_kernel(b.operator) for b in stages[:-1]
         ]
         # Columnar overlays: None entries mark the first stage at which
         # a columnar train must materialize back to a tuple list (the
-        # engine's fused runner then falls through to interior_kernels).
+        # run then falls through to interior_kernels).
         self.columnar_kernels: list[Optional[ColumnarKernel]] = [
             _interior_columnar_kernel(b.operator) for b in stages[:-1]
         ]
-        self.tail_columnar = stages[-1].operator.supports_columnar
 
     @property
     def head(self) -> Box:
@@ -191,81 +187,124 @@ class FusedChain(Operator):
         """The (inert while fused) arcs between consecutive stages."""
         return [box.input_arcs[0] for box in self.stages[1:]]
 
-    # -- Operator interface ------------------------------------------------
+    def run(
+        self, batch: Batch, port: int, account: Account
+    ) -> tuple[list, bool]:
+        """Thread one claimed train through every stage.
 
-    def process(self, tup: StreamTuple, port: int = 0) -> list[Emission]:
-        """Thread one tuple through every stage, updating stage stats."""
-        current = [tup]
-        for box in self.stages[:-1]:
-            next_batch: list[StreamTuple] = []
-            for item in current:
-                box.tuples_in += 1
-                emitted = box.operator.process(item, port=0)
-                box.tuples_out += len(emitted)
-                next_batch.extend(t for _p, t in emitted)
-            current = next_batch
-            if not current:
-                return []
-        tail = self.stages[-1]
-        emissions: list[Emission] = []
-        for item in current:
-            tail.tuples_in += 1
-            emitted = tail.operator.process(item, port=0)
-            tail.tuples_out += len(emitted)
-            emissions.extend(emitted)
-        return emissions
+        ``account(index, box, batch)`` charges each stage for the train
+        entering it, before the stage's kernel runs (so trace spans
+        stamped there are inherited by the emissions).  A columnar train
+        runs each interior stage's column kernel, materializes once at
+        the first stage without one and continues on the list kernels;
+        the tail runs ``process_columnar`` while the train is still
+        columnar and the operator has that kernel, else
+        ``process_batch``.  Per-stage ``tuples_in``/``tuples_out`` are
+        updated here.  ``port`` is the head's claimed input port — only
+        a run of length one can have a port other than 0.
 
-    def process_batch(
-        self, tuples: list[StreamTuple], port: int = 0
-    ) -> list[Emission]:
-        """Thread a whole train through the constituent kernels once."""
-        batch = list(tuples)
-        for box, kernel in zip(self.stages[:-1], self.interior_kernels):
-            if not batch:
-                return []
-            box.tuples_in += len(batch)
-            batch = kernel(batch)
-            box.tuples_out += len(batch)
-        if not batch:
-            return []
-        tail = self.stages[-1]
-        tail.tuples_in += len(batch)
-        emissions = tail.operator.process_batch(batch, port=0)
-        tail.tuples_out += len(emissions)
-        return emissions
-
-    def flush(self) -> list[Emission]:
-        """Thread each stage's flush output through the rest of the chain.
-
-        Members are stateless by eligibility, so this is empty in
-        practice; kept correct for completeness.
+        Returns the tail's emissions and whether they are columnar
+        ``(port, ColumnarTrain)`` pairs rather than ``(port, tuple)``.
         """
-        emissions: list[Emission] = []
-        for index, box in enumerate(self.stages):
-            for _port, tup in box.operator.flush():
-                box.tuples_out += 1
-                current = [tup]
-                for succ in self.stages[index + 1:-1]:
-                    next_batch: list[StreamTuple] = []
-                    for item in current:
-                        succ.tuples_in += 1
-                        emitted = succ.operator.process(item, port=0)
-                        succ.tuples_out += len(emitted)
-                        next_batch.extend(t for _p, t in emitted)
-                    current = next_batch
-                if index == len(self.stages) - 1:
-                    emissions.append((_port, tup))
-                    continue
-                tail = self.stages[-1]
-                for item in current:
-                    tail.tuples_in += 1
-                    emitted = tail.operator.process(item, port=0)
-                    tail.tuples_out += len(emitted)
-                    emissions.extend(emitted)
-        return emissions
+        stages = self.stages
+        last = len(stages) - 1
+        for index in range(last):
+            count = len(batch)
+            if not count:
+                return [], False
+            box = stages[index]
+            account(index, box, batch)
+            box.tuples_in += count
+            if isinstance(batch, ColumnarTrain):
+                kernel = self.columnar_kernels[index]
+                if kernel is not None:
+                    batch = kernel(batch)
+                else:
+                    batch = self.interior_kernels[index](batch.to_tuples())
+            else:
+                batch = self.interior_kernels[index](batch)
+            box.tuples_out += len(batch)
+        count = len(batch)
+        if not count:
+            return [], False
+        tail = stages[last]
+        account(last, tail, batch)
+        tail.tuples_in += count
+        operator = tail.operator
+        if isinstance(batch, ColumnarTrain):
+            if operator.supports_columnar:
+                trains = operator.process_columnar(batch, port=port)
+                tail.tuples_out += sum(len(train) for _p, train in trains)
+                return trains, True
+            # Operator barrier (stateful or opaque): materialize at the
+            # tail and run the exact-equivalent list batch kernel.
+            batch = batch.to_tuples()
+        emissions = operator.process_batch(batch, port=port)
+        tail.tuples_out += len(emissions)
+        return emissions, False
 
     def describe(self) -> str:
         return "FusedChain(" + " -> ".join(b.id for b in self.stages) + ")"
+
+
+class FusionOverlay:
+    """The superbox overlay a runtime holds over its network.
+
+    Maps each fused run's head to its :class:`FusedChain` and every
+    member to its head.  The engine and the Aurora* system each hold
+    one, rebuild it from :func:`find_runs` whenever topology (or
+    placement) changes, and dissolve it with :meth:`defuse` before any
+    run-time rewrite touches a fused box.
+    """
+
+    def __init__(self) -> None:
+        self.chains: dict[str, FusedChain] = {}
+        self.members: dict[str, str] = {}
+        self._singles: dict[str, FusedChain] = {}
+
+    def rebuild(self, network: QueryNetwork, runs: list[list[str]]) -> None:
+        """Compile ``runs`` (box-id lists in flow order) from scratch."""
+        self.chains = {}
+        self.members = {}
+        self._singles = {}
+        for run in runs:
+            self.chains[run[0]] = FusedChain([network.boxes[b] for b in run])
+            for member in run:
+                self.members[member] = run[0]
+
+    def defuse(self, box_id: str | None = None) -> None:
+        """Dissolve superboxes — all of them, or the one containing ``box_id``.
+
+        Safe at any scheduling boundary: fusion never removed the
+        constituent boxes or arcs from the network (it only redirects
+        execution), a fused train always runs through every stage so
+        interior arcs are empty, and any queued tuples already sit on
+        the superbox input — the head box's own input arc.  Dropping
+        the overlay therefore restores per-box execution with no state
+        hand-back.
+        """
+        if box_id is None:
+            self.chains = {}
+            self.members = {}
+            return
+        head = self.members.get(box_id)
+        if head is None:
+            return
+        for stage in self.chains.pop(head).stages:
+            self.members.pop(stage.id, None)
+
+    def fused_runs(self) -> list[list[str]]:
+        """Box-id runs currently compiled into superboxes (length >= 2)."""
+        return [chain.member_ids() for chain in self.chains.values()]
+
+    def run_of(self, box: Box) -> FusedChain:
+        """The superbox headed by ``box``, else ``box`` as a run of one."""
+        chain = self.chains.get(box.id)
+        if chain is None:
+            chain = self._singles.get(box.id)
+            if chain is None or chain.stages[0] is not box:
+                chain = self._singles[box.id] = FusedChain([box])
+        return chain
 
 
 SameNode = Callable[[str, str], bool]
@@ -392,20 +431,3 @@ def find_runs(
             runs.append(run)
             assigned.update(run)
     return runs
-
-
-def build_chains(
-    network: QueryNetwork,
-    *,
-    same_node: SameNode | None = None,
-    protect: frozenset[str] = frozenset(),
-) -> tuple[dict[str, FusedChain], dict[str, str]]:
-    """Run the fusion pass; returns ``(head_id -> chain, member -> head)``."""
-    chains: dict[str, FusedChain] = {}
-    members: dict[str, str] = {}
-    for run in find_runs(network, same_node=same_node, protect=protect):
-        chain = FusedChain([network.boxes[b] for b in run])
-        chains[run[0]] = chain
-        for member in run:
-            members[member] = run[0]
-    return chains, members

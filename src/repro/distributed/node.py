@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.engine import claim_run, timestamp_keys
+from repro.core.engine import claim_run, popleft_n, timestamp_keys
+from repro.core.fusion import Batch
 from repro.core.query import Arc, Box
 from repro.core.tuples import StreamTuple
 from repro.network.overlay import Message
@@ -134,170 +135,90 @@ class AuroraNode:
         box = self._choose_box()
         if box is None:
             return
-        chain = self.system.fused_chain(box.id)
-        if chain is not None:
-            # The whole superbox runs as one schedulable unit; its
-            # emissions leave from the tail box's output arcs.
-            consumed, emissions = self._process_chain_train(chain)
-            box = chain.tail
-        else:
-            consumed, emissions = self._process_train(box)
+        consumed, tail, emissions = self._process_train(box)
         now = self.system.sim.now
         self.busy_until = now + consumed
         self.busy_time += consumed
         # Emissions appear when the train finishes.
-        self.system.sim.schedule_at(self.busy_until, self._complete, box, emissions)
+        self.system.sim.schedule_at(self.busy_until, self._complete, tail, emissions)
 
     def _process_train(
         self, box: Box
-    ) -> tuple[float, list[tuple[int, StreamTuple]]]:
-        """Run one train through ``box`` as first-class batches.
+    ) -> tuple[float, Box, list[tuple[int, StreamTuple]]]:
+        """Run one train through ``box``'s run: its superbox, or the box alone.
 
         Tuples are claimed in maximal per-arc runs that preserve the
-        scalar oldest-timestamp-first consumption order across input
-        arcs, then processed with one ``process_batch`` call per run.
-        The per-tuple cost chain is accumulated incrementally so virtual
-        times are bit-identical to the per-tuple path.
+        per-tuple oldest-timestamp-first consumption order across input
+        arcs, and each claim is threaded through
+        :meth:`~repro.core.fusion.FusedChain.run` — a superbox's
+        interior arcs see no traffic.  Attribution is per stage: each
+        box accrues its own ``tuples_in/out`` and, per train, one
+        ``busy_time`` increment and one coarse T_B sample — its share
+        of the train's busy interval, the head's share including the
+        one scheduling overhead the whole train pays (that amortization
+        is the superbox's contribution to node throughput).  Shares are
+        accumulated tuple by tuple, so an unfused box is charged
+        exactly what the per-tuple path would charge it.
+
+        Returns ``(consumed, tail, emissions)``: the busy interval, the
+        box whose output arcs the emissions leave from, and the
+        emissions.
         """
-        consumed = self.scheduling_overhead
-        emissions: list[tuple[int, StreamTuple]] = []
-        budget = self.train_size
-        operator = box.operator
-        cost = operator.cost_per_tuple / self.cpu_capacity
+        chain = self.system.superboxes.run_of(box)
+        stages = chain.stages
+        spent = [0.0] * len(stages)
+        spent[0] = self.scheduling_overhead
+        counts = [0] * len(stages)
         system = self.system
         tracing = system._tracing
-        processed = 0
-        while budget > 0:
-            arc, n = self._claim_input(box, budget)
-            if arc is None:
-                break
-            queue = arc.queue
-            if n == len(queue):
-                batch = list(queue)
-                queue.clear()
-            else:
-                popleft = queue.popleft
-                batch = [popleft() for _ in range(n)]
-            for _ in range(n):
-                consumed += cost
+        capacity = self.cpu_capacity
+
+        def account(index: int, stage: Box, batch: Batch) -> None:
+            cost = stage.operator.cost_per_tuple / capacity
+            charged = spent[index]
+            for _ in range(len(batch)):
+                charged += cost
+            spent[index] = charged
+            counts[index] += len(batch)
             if tracing:
                 # Coarse sim-time spans: the event-driven node charges
                 # the whole train as one busy interval, so every tuple's
-                # box span covers it.  Re-stamped before process_batch()
-                # so emissions inherit the child context.
+                # span covers it up to this stage.  Re-stamped before
+                # the stage runs so emissions inherit the child context.
                 tracer = system.tracer
                 now = system.sim.now
+                end = now + sum(spent[:index + 1])
                 for tup in batch:
                     if tup.trace is not None:
                         tup.trace = tracer.span(
-                            tup.trace, f"box:{box.id}", node=self.name,
-                            start=now, end=now + consumed,
+                            tup.trace, f"box:{stage.id}", node=self.name,
+                            start=now, end=end,
                         )
-            box.tuples_in += n
-            self.tuples_processed += n
-            processed += n
-            out = operator.process_batch(batch, port=int(arc.target[1]))
-            box.tuples_out += len(out)
-            emissions.extend(out)
-            budget -= n
-        if processed:
-            self._m_tuples.inc(processed)
-            self._m_trains.inc()
-        box.busy_time += consumed
-        box.latency_sum += consumed  # coarse T_B contribution per train
-        box.latency_count += 1
-        return consumed, emissions
 
-    def _process_chain_train(
-        self, chain
-    ) -> tuple[float, list[tuple[int, StreamTuple]]]:
-        """One train through a superbox (:class:`repro.core.fusion.FusedChain`).
-
-        Claimed once at the head's real input arc, threaded through
-        every stage kernel with no interior arc traffic, emitted from
-        the tail.  Logical attribution is per stage: each constituent
-        box accrues its own ``tuples_in/out``, ``busy_time`` and coarse
-        per-train T_B contribution, so the load-share daemon and
-        box-sliding cost model keep seeing per-box signals.  One
-        scheduling overhead covers the whole chain — that amortization
-        is the superbox's contribution to node throughput.
-        """
-        consumed = self.scheduling_overhead
         emissions: list[tuple[int, StreamTuple]] = []
-        head = chain.head
-        stages = chain.stages
-        kernels = chain.interior_kernels
-        last = len(stages) - 1
         budget = self.train_size
-        system = self.system
-        tracing = system._tracing
-        processed = 0
         while budget > 0:
-            arc, n = self._claim_input(head, budget)
+            arc, n = claim_run(chain.head, budget, timestamp_keys)
             if arc is None:
                 break
-            queue = arc.queue
-            if n == len(queue):
-                batch = list(queue)
-                queue.clear()
-            else:
-                popleft = queue.popleft
-                batch = [popleft() for _ in range(n)]
-            for index, box in enumerate(stages):
-                count = len(batch)
-                if count == 0:
-                    break
-                cost = box.operator.cost_per_tuple / self.cpu_capacity
-                stage_consumed = 0.0
-                for _ in range(count):
-                    stage_consumed += cost
-                consumed += stage_consumed
-                if tracing:
-                    tracer = system.tracer
-                    now = system.sim.now
-                    for tup in batch:
-                        if tup.trace is not None:
-                            tup.trace = tracer.span(
-                                tup.trace, f"box:{box.id}", node=self.name,
-                                start=now, end=now + consumed,
-                            )
-                box.tuples_in += count
-                self.tuples_processed += count
-                processed += count
-                if index == last:
-                    out = box.operator.process_batch(batch, port=0)
-                    box.tuples_out += len(out)
-                    emissions.extend(out)
-                else:
-                    out = kernels[index](batch)
-                    box.tuples_out += len(out)
-                    batch = out
-                box.busy_time += stage_consumed
-                box.latency_sum += stage_consumed
-                box.latency_count += 1
+            out, _columnar = chain.run(
+                popleft_n(arc.queue, n), int(arc.target[1]), account
+            )
+            emissions.extend(out)
             budget -= n
+        processed = 0
+        for stage, charged, count in zip(stages, spent, counts):
+            if not count:
+                break
+            stage.busy_time += charged
+            stage.latency_sum += charged  # coarse T_B contribution per train
+            stage.latency_count += 1
+            processed += count
         if processed:
+            self.tuples_processed += processed
             self._m_tuples.inc(processed)
             self._m_trains.inc()
-        return consumed, emissions
-
-    @staticmethod
-    def _nonempty_input(box: Box) -> Arc | None:
-        oldest: Arc | None = None
-        oldest_ts = float("inf")
-        for arc in box.input_arcs.values():
-            if arc.queue and arc.queue[0].timestamp < oldest_ts:
-                oldest, oldest_ts = arc, arc.queue[0].timestamp
-        return oldest
-
-    @staticmethod
-    def _claim_input(box: Box, budget: int) -> tuple[Arc | None, int]:
-        """The arc :meth:`_nonempty_input` would pick, and the maximal
-        run of its head tuples the per-tuple loop would consume from it
-        before another arc's head grew older (capped by ``budget``).
-        Delegates to the backend-agnostic :func:`~repro.core.engine.claim_run`,
-        keyed on source timestamps."""
-        return claim_run(box, budget, timestamp_keys)
+        return sum(spent), chain.tail, emissions
 
     def _complete(self, box: Box, emissions: list[tuple[int, StreamTuple]]) -> None:
         if self.failed:
@@ -364,14 +285,9 @@ class AuroraNode:
         ("any tuples that are queued within S are allowed to drain off").
         """
         box = self.system.network.boxes[box_id]
-        chain = self.system.fused_chain(box_id)
         while box.queued() > 0:
-            if chain is not None:
-                consumed, emissions = self._process_chain_train(chain)
-                self.route_emissions(chain.tail, emissions)
-            else:
-                consumed, emissions = self._process_train(box)
-                self.route_emissions(box, emissions)
+            consumed, tail, emissions = self._process_train(box)
+            self.route_emissions(tail, emissions)
             self.busy_time += consumed
 
     def _on_load_probe(self, message: Message) -> None:

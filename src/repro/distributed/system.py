@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.fusion import FusedChain, find_runs
+from repro.core.fusion import FusedChain, FusionOverlay, find_runs
 from repro.core.query import Arc, QueryNetwork
 from repro.core.tuples import StreamTuple
 from repro.distributed.node import AuroraNode
@@ -97,8 +97,7 @@ class AuroraStarSystem:
         # which (unlike the single-node engine's train push) coarsens
         # the simulated timing, so callers enable it explicitly.
         self.fusion_enabled = False
-        self._fused: dict[str, FusedChain] = {}
-        self._fused_member: dict[str, str] = {}
+        self.superboxes = FusionOverlay()
 
     # -- topology ---------------------------------------------------------------
 
@@ -175,50 +174,34 @@ class AuroraStarSystem:
         local.  Like the engine's pass, this is defuse + refuse: the
         network is the ground truth and the overlay is derived state.
         """
-        self._fused = {}
-        self._fused_member = {}
-        if not self.fusion_enabled or not self.placement:
-            return
-        placement = self.placement
+        runs: list[list[str]] = []
+        if self.fusion_enabled and self.placement:
+            placement = self.placement
 
-        def same_node(a: str, b: str) -> bool:
-            node = placement.get(a)
-            return node is not None and node == placement.get(b)
+            def same_node(a: str, b: str) -> bool:
+                node = placement.get(a)
+                return node is not None and node == placement.get(b)
 
-        for run in find_runs(
-            self.network, same_node=same_node, protect=frozenset(self.migrating)
-        ):
-            chain = FusedChain([self.network.boxes[b] for b in run])
-            self._fused[run[0]] = chain
-            for member in run:
-                self._fused_member[member] = run[0]
+            runs = find_runs(
+                self.network, same_node=same_node, protect=frozenset(self.migrating)
+            )
+        self.superboxes.rebuild(self.network, runs)
 
     def defuse(self, box_id: str | None = None) -> None:
         """Dissolve superboxes — all, or the one containing ``box_id``.
 
         Called before any run-time network rewrite (sliding, splitting)
-        touches a fused box.  Constituents and arcs were never removed,
-        and interior arcs are empty (fused trains always run through
-        every stage), so dropping the overlay is all there is to it.
+        touches a fused box (see :meth:`FusionOverlay.defuse`).
         """
-        if box_id is None:
-            self._fused = {}
-            self._fused_member = {}
-            return
-        head = self._fused_member.get(box_id)
-        if head is None:
-            return
-        chain = self._fused.pop(head)
-        for stage in chain.stages:
-            self._fused_member.pop(stage.id, None)
+        self.superboxes.defuse(box_id)
 
     def fused_chain(self, box_id: str) -> FusedChain | None:
         """The superbox headed by ``box_id``, if one is compiled."""
-        return self._fused.get(box_id)
+        return self.superboxes.chains.get(box_id)
 
     def fused_runs(self) -> list[list[str]]:
         """Box-id runs currently compiled into superboxes."""
-        return [chain.member_ids() for chain in self._fused.values()]
+        return self.superboxes.fused_runs()
 
     # -- ingestion ----------------------------------------------------------------
 

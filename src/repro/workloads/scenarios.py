@@ -267,8 +267,9 @@ class ScenarioRunner:
         scenario: what to run.
         seed: drives traffic generation, shedder coin flips and any
             scenario hook randomness — same seed, same run.
-        batch_execution / fusion: engine execution mode (the equivalence
-            tests run all three combinations over one scenario).
+        batch_execution: engine execution mode — the fast runner, or
+            the per-tuple reference (the equivalence tests run both, and
+            the fast runner once more with its superboxes defused).
     """
 
     def __init__(
@@ -276,7 +277,6 @@ class ScenarioRunner:
         scenario: Scenario,
         seed: int = 0,
         batch_execution: bool = True,
-        fusion: bool = True,
     ):
         self.scenario = scenario
         self.seed = seed
@@ -307,7 +307,6 @@ class ScenarioRunner:
             metrics=self.registry,
             tracer=tracer,
             batch_execution=batch_execution,
-            fusion=fusion,
         )
         self.controller: ElasticityController | None = None
         if scenario.elasticity is not None:
@@ -325,14 +324,6 @@ class ScenarioRunner:
         self._watermarks: dict[str, float] = {}
 
     # -- virtual-time mechanics ------------------------------------------------
-
-    def _advance_to(self, when: float) -> None:
-        """Run the engine until its clock reaches ``when`` (idle jumps)."""
-        engine = self.engine
-        while engine.clock < when:
-            if engine.step() == 0.0:
-                engine.clock = when
-                break
 
     def _probe(self) -> None:
         """Record one health observation at the current engine clock.
@@ -404,7 +395,7 @@ class ScenarioRunner:
 
         outage_counters: dict[str, object] = {}
         for when, _priority, _order, kind, payload in events:
-            self._advance_to(when)
+            self.engine.advance_to(when)
             if kind == "apply":
                 assert isinstance(payload, Fault)
                 payload.apply(self)
@@ -434,7 +425,7 @@ class ScenarioRunner:
         deadline = scenario.duration + scenario.drain_grace
         while self.engine.queued_counts and when < deadline:
             when += scenario.tick
-            self._advance_to(when)
+            self.engine.advance_to(when)
             self._probe()
         self.engine.run_until_idle()
         self.engine.flush()
@@ -498,7 +489,6 @@ def run_scenario(
     scale: float = 1.0,
     seed: int = 0,
     batch_execution: bool = True,
-    fusion: bool = True,
     backend: str = "simulator",
     n_workers: int = 2,
 ) -> ScenarioResult | ParallelScenarioResult:
@@ -533,7 +523,6 @@ def run_scenario(
         make_scenario(name, scale=scale),
         seed=seed,
         batch_execution=batch_execution,
-        fusion=fusion,
     ).run()
 
 

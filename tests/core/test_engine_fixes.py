@@ -4,10 +4,13 @@ Covers: flush() emissions taking the batched emit path when
 batch_execution is on; invalidate_caches() pruning output buffers for
 removed output streams and re-clamping the round-robin cursor; and the
 engine's sparse queued-count index staying consistent with a full scan
-of the network (the structure LongestQueue/QoS scheduling now reads).
+of the network (the structure LongestQueue/QoS scheduling now reads);
+and steps that take zero virtual time not being mistaken for idleness.
 """
 
 import random
+
+import pytest
 
 from repro.core.engine import AuroraEngine
 from repro.core.operators.filter import Filter
@@ -234,3 +237,66 @@ class TestRemovalInvalidation:
         # drops handles, never history.
         per_box = engine.metrics.label_values("engine.box.tuples_in", "box")
         assert per_box.get("E__part", 0) > 0
+
+
+def zero_cost_net():
+    """in:src -> f -> m -> t(count windows) -> out:sink, every box free."""
+    net = QueryNetwork()
+    net.add_box("f", Filter(lambda t: t["A"] % 3 != 0, cost_per_tuple=0.0))
+    net.add_box("m", Map(lambda v: {"G": 0, "A": v["A"] * 2}, cost_per_tuple=0.0))
+    net.add_box(
+        "t",
+        Tumble("cnt", groupby=("G",), value_attr="A", mode="count",
+               window_size=2, cost_per_tuple=0.0),
+    )
+    net.connect("in:src", "f")
+    net.connect("f", "m")
+    net.connect("m", "t")
+    net.connect("t", "out:sink")
+    return net
+
+
+class TestZeroTimeSteps:
+    """A step that consumes no virtual time is not an idle engine.
+
+    Zero-cost boxes with no scheduling overhead do real work in zero
+    virtual seconds; idleness is the scheduler finding no runnable box.
+    """
+
+    MODES = [
+        pytest.param(False, False, id="reference"),
+        pytest.param(True, True, id="batch-defused"),
+        pytest.param(True, False, id="batch-fused"),
+    ]
+
+    def engine(self, batch_execution, defuse):
+        engine = AuroraEngine(
+            zero_cost_net(), train_size=2, scheduling_overhead=0.0,
+            batch_execution=batch_execution,
+        )
+        if defuse:
+            engine.defuse()
+        fused = engine.fused_runs()
+        assert fused == ([["f", "m", "t"]] if batch_execution and not defuse else [])
+        engine.push_many(
+            "src", make_stream([{"A": i} for i in range(20)], spacing=0.01)
+        )
+        return engine
+
+    @pytest.mark.parametrize("batch_execution,defuse", MODES)
+    def test_run_until_idle_drains_everything(self, batch_execution, defuse):
+        engine = self.engine(batch_execution, defuse)
+        assert engine.run_until_idle() == 0.0
+        assert engine.queued_counts == {}
+        assert engine.network.total_queued() == 0
+        # 13 survivors of the filter close 6 two-tuple windows.
+        assert len(engine.outputs["sink"]) == 6
+        assert engine.steps > 1
+
+    @pytest.mark.parametrize("batch_execution,defuse", MODES)
+    def test_advance_to_drains_before_jumping(self, batch_execution, defuse):
+        engine = self.engine(batch_execution, defuse)
+        engine.advance_to(1.0)
+        assert engine.clock == 1.0
+        assert engine.network.total_queued() == 0
+        assert len(engine.outputs["sink"]) == 6

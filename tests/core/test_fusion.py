@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import AuroraEngine
-from repro.core.fusion import FusedChain, build_chains, chainable, find_runs
+from repro.core.fusion import FusedChain, FusionOverlay, chainable, find_runs
 from repro.core.operators.case_filter import CaseFilter
 from repro.core.operators.filter import Filter
 from repro.core.operators.map import Map
@@ -156,11 +156,6 @@ class TestEligibility:
 
 
 class TestFusedChain:
-    def test_requires_two_stages(self):
-        net = pipeline(2)
-        with pytest.raises(ValueError):
-            FusedChain([net.boxes["f0"]])
-
     def test_cost_and_shape(self):
         net = pipeline(3)
         chain = FusedChain([net.boxes[b] for b in ("f0", "f1", "f2")])
@@ -169,14 +164,17 @@ class TestFusedChain:
         assert chain.head.id == "f0"
         assert chain.tail.id == "f2"
         assert chain.member_ids() == ["f0", "f1", "f2"]
-        assert not chain.fusable  # no fusing of fusions
         assert "f0 -> f1 -> f2" in chain.describe()
 
     def test_process_batch_matches_sequential(self):
         net_a, net_b = pipeline(3), pipeline(3)
         tuples = [StreamTuple({"A": i}) for i in range(20)]
         chain = FusedChain([net_a.boxes[b] for b in ("f0", "f1", "f2")])
-        fused = chain.process_batch(list(tuples), port=0)
+        charged = []
+        fused, columnar = chain.run(
+            list(tuples), 0, lambda i, box, batch: charged.append((box.id, len(batch)))
+        )
+        assert not columnar
 
         batch = list(tuples)
         for box_id in ("f0", "f1", "f2"):
@@ -186,12 +184,36 @@ class TestFusedChain:
         assert net_a.boxes["f0"].tuples_in == len(tuples)
         assert net_a.boxes["f1"].tuples_in == net_a.boxes["f0"].tuples_out
         assert net_a.boxes["f2"].tuples_in == net_a.boxes["f1"].tuples_out
+        # Each stage is charged once, for the train entering it.
+        assert charged == [
+            (b, net_a.boxes[b].tuples_in) for b in ("f0", "f1", "f2")
+        ]
 
-    def test_build_chains_maps_members_to_heads(self):
+    def test_single_box_is_a_run_of_one(self):
+        net = pipeline(1)
+        box = net.boxes["f0"]
+        chain = FusionOverlay().run_of(box)
+        assert chain.member_ids() == ["f0"] and chain.head is chain.tail
+        tuples = [StreamTuple({"A": i}) for i in range(14)]
+        emissions, columnar = chain.run(tuples, 0, lambda *_: None)
+        assert not columnar
+        assert [t.values for _p, t in emissions] == [
+            t.values for _p, t in pipeline(1).boxes["f0"].operator.process_batch(tuples)
+        ]
+        assert (box.tuples_in, box.tuples_out) == (14, len(emissions))
+
+    def test_overlay_maps_members_to_heads(self):
         net = pipeline(4)
-        chains, members = build_chains(net)
-        assert set(chains) == {"f0"}
-        assert members == {b: "f0" for b in ("f0", "f1", "f2", "f3")}
+        overlay = FusionOverlay()
+        overlay.rebuild(net, find_runs(net))
+        assert set(overlay.chains) == {"f0"}
+        assert overlay.members == {b: "f0" for b in ("f0", "f1", "f2", "f3")}
+        assert overlay.fused_runs() == [["f0", "f1", "f2", "f3"]]
+        # Unfused boxes still get a run: themselves, as a run of one.
+        assert overlay.run_of(net.boxes["f0"]) is overlay.chains["f0"]
+        overlay.defuse("f2")
+        assert overlay.fused_runs() == []
+        assert overlay.run_of(net.boxes["f2"]).member_ids() == ["f2"]
 
 
 class TestEngineFusion:
@@ -207,8 +229,8 @@ class TestEngineFusion:
         survivors = [i for i in range(40) if i % 7 != 0 and (i + 1) % 7 != 0]
         assert [t["A"] for t in engine.outputs["sink"]] == [i + 1 for i in survivors]
 
-    def test_fusion_off_flag(self):
-        engine = AuroraEngine(pipeline(3), fusion=False)
+    def test_reference_mode_runs_unfused(self):
+        engine = AuroraEngine(pipeline(3), batch_execution=False)
         assert engine.fused_runs() == []
 
     def test_no_fusion_without_push_trains(self):

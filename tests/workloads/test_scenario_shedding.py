@@ -28,17 +28,25 @@ SCALE = 0.1
 SEED = 42
 
 MODES = {
-    "scalar": dict(batch_execution=False, fusion=False),
-    "batch": dict(batch_execution=True, fusion=False),
-    "fused": dict(batch_execution=True, fusion=True),
+    # (batch_execution, defuse the engine's superboxes after construction)
+    "scalar": (False, False),
+    "batch": (True, True),
+    "fused": (True, False),
 }
 
 
 def run_modes(name):
-    return {
-        mode: run_scenario(name, scale=SCALE, seed=SEED, **flags)
-        for mode, flags in MODES.items()
-    }
+    results = {}
+    for mode, (batch_execution, defuse) in MODES.items():
+        runner = ScenarioRunner(
+            make_scenario(name, scale=SCALE),
+            seed=SEED,
+            batch_execution=batch_execution,
+        )
+        if defuse:
+            runner.engine.defuse()
+        results[mode] = runner.run()
+    return results
 
 
 class TestModeEquivalence:
